@@ -160,7 +160,7 @@ func (f Fault) Modifiers(v Values) *snn.Modifiers {
 // Universe enumerates every fault of one model for an architecture, in a
 // fixed deterministic order (layer-major, then neuron / pre / post index).
 func Universe(arch snn.Arch, kind Kind) []Fault {
-	var out []Fault
+	out := make([]Fault, 0, UniverseSize(arch, kind))
 	if kind.IsNeuronFault() {
 		// Neuron faults occur in all neurons except input neurons.
 		for k := 1; k < arch.Layers(); k++ {

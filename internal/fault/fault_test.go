@@ -70,6 +70,21 @@ func TestUniverseSizes(t *testing.T) {
 	}
 }
 
+// TestUniverseAllocatesOnce asserts Universe sizes its slice exactly up
+// front: one allocation, no growth copies, whatever the universe size.
+func TestUniverseAllocatesOnce(t *testing.T) {
+	arch := snn.Arch{24, 16, 8}
+	for _, k := range Kinds() {
+		u := Universe(arch, k)
+		if len(u) != UniverseSize(arch, k) || cap(u) != len(u) {
+			t.Errorf("%v universe len %d cap %d, want %d", k, len(u), cap(u), UniverseSize(arch, k))
+		}
+		if allocs := testing.AllocsPerRun(5, func() { Universe(arch, k) }); allocs != 1 {
+			t.Errorf("%v universe: %v allocations, want 1", k, allocs)
+		}
+	}
+}
+
 func TestUniverseExcludesInputNeurons(t *testing.T) {
 	arch := snn.Arch{4, 3, 2}
 	for _, f := range Universe(arch, NASF) {

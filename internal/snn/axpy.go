@@ -39,6 +39,22 @@ func MulAddInto(dst, src []float64, alpha float64) {
 	mulAddInto(dst[:n], src[:n], alpha)
 }
 
+// AddSumInto accumulates an element-wise sum: dst[i] += w[i] + e[i] for
+// i < min(len(dst), len(w), len(e)). It is the perturbed-view counterpart of
+// AddInto: w is a programmed weight row, e the chip's deviation row, and
+// w[i] + e[i] rounds exactly like the materialised weight a clone-then-add
+// network would store, before one more IEEE-754 addition into dst. The AVX2
+// and portable paths both perform those two additions per element in that
+// order — no FMA, no reassociation — so the result matches AddInto over the
+// materialised row bit for bit (asserted by TestAddSumIntoBitExact).
+func AddSumInto(dst, w, e []float64) {
+	n := min(len(dst), len(w), len(e))
+	if n == 0 {
+		return
+	}
+	addSumInto(dst[:n], w[:n], e[:n])
+}
+
 // addIntoGeneric is the portable accumulation loop, unrolled 4-wide with
 // explicit slice caps so the compiler drops the per-element bounds checks.
 // len(dst) == len(src) is the callers' contract (AddInto enforces it).
@@ -55,6 +71,27 @@ func addIntoGeneric(dst, src []float64) {
 	}
 	for ; i < n; i++ {
 		dst[i] += src[i]
+	}
+}
+
+// addSumIntoGeneric is the portable perturbed accumulation. The inner sum
+// w[i] + e[i] is evaluated (and rounded) first, exactly as the weight a
+// clone-then-add network stores. len(dst) == len(w) == len(e) is the
+// callers' contract (AddSumInto enforces it).
+func addSumIntoGeneric(dst, w, e []float64) {
+	n := len(dst)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d := dst[i : i+4 : i+4]
+		a := w[i : i+4 : i+4]
+		b := e[i : i+4 : i+4]
+		d[0] += a[0] + b[0]
+		d[1] += a[1] + b[1]
+		d[2] += a[2] + b[2]
+		d[3] += a[3] + b[3]
+	}
+	for ; i < n; i++ {
+		dst[i] += w[i] + e[i]
 	}
 }
 

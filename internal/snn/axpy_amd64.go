@@ -18,6 +18,13 @@ func addIntoAVX2(dst, src *float64, n int)
 //go:noescape
 func mulAddIntoAVX2(dst, src *float64, alpha float64, n int)
 
+// addSumIntoAVX2 performs dst[i] += w[i] + e[i] for i in [0, n) with two
+// 256-bit VADDPDs per 4 doubles (w+e first, then into dst; never FMA).
+// Implemented in axpy_amd64.s.
+//
+//go:noescape
+func addSumIntoAVX2(dst, w, e *float64, n int)
+
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -55,6 +62,14 @@ func addInto(dst, src []float64) {
 		return
 	}
 	addIntoGeneric(dst, src)
+}
+
+func addSumInto(dst, w, e []float64) {
+	if useAVX2 && len(dst) >= 16 {
+		addSumIntoAVX2(&dst[0], &w[0], &e[0], len(dst))
+		return
+	}
+	addSumIntoGeneric(dst, w, e)
 }
 
 func mulAddInto(dst, src []float64, alpha float64) {

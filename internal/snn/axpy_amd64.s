@@ -135,6 +135,81 @@ madone:
 	VZEROUPPER
 	RET
 
+// func addSumIntoAVX2(dst, w, e *float64, n int)
+//
+// dst[i] += w[i] + e[i] for i in [0, n). Per 4 doubles: one VADDPD forms
+// the perturbed weight w+e (rounded, exactly the value a clone-then-add
+// network stores), a second VADDPD accumulates it into dst. No FMA, so the
+// result is bit-identical to the generic two-addition scalar loop.
+TEXT ·addSumIntoAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ e+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ CX, DX
+	SHRQ $4, DX
+	JZ   astail4
+
+asblk16:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VADDPD  (R8), Y0, Y0
+	VADDPD  32(R8), Y1, Y1
+	VADDPD  64(R8), Y2, Y2
+	VADDPD  96(R8), Y3, Y3
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, R8
+	ADDQ    $128, DI
+	DECQ    DX
+	JNZ     asblk16
+
+astail4:
+	ANDQ $15, CX
+	JZ   asdone
+	MOVQ CX, DX
+	SHRQ $2, DX
+	JZ   astail1
+
+asblk4:
+	VMOVUPD (SI), Y0
+	VADDPD  (R8), Y0, Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, DI
+	DECQ    DX
+	JNZ     asblk4
+
+astail1:
+	ANDQ $3, CX
+	JZ   asdone
+
+asscalar:
+	VMOVSD (SI), X0
+	VADDSD (R8), X0, X0
+	VADDSD (DI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, R8
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    asscalar
+
+asdone:
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

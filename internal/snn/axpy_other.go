@@ -9,3 +9,7 @@ func addInto(dst, src []float64) {
 func mulAddInto(dst, src []float64, alpha float64) {
 	mulAddIntoGeneric(dst, src, alpha)
 }
+
+func addSumInto(dst, w, e []float64) {
+	addSumIntoGeneric(dst, w, e)
+}

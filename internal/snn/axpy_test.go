@@ -177,3 +177,92 @@ func BenchmarkAddInto(b *testing.B) {
 		})
 	}
 }
+
+// naiveAddSum is the reference for AddSumInto: the materialised weight
+// w[i]+e[i] rounds first, then accumulates into dst.
+func naiveAddSum(dst, w, e []float64) []float64 {
+	want := make([]float64, len(dst))
+	copy(want, dst)
+	for i := range want {
+		t := w[i] + e[i]
+		want[i] += t
+	}
+	return want
+}
+
+// TestAddSumIntoBitExact asserts AddSumInto (whatever kernel the host
+// dispatches to) matches the clone-then-add reference bit for bit for
+// every length across the unroll boundaries.
+func TestAddSumIntoBitExact(t *testing.T) {
+	for n := 0; n <= 131; n++ {
+		dst := make([]float64, n)
+		w := make([]float64, n)
+		e := make([]float64, n)
+		fillPseudo(dst, uint64(n)*5+1)
+		fillPseudo(w, uint64(n)*5+2)
+		fillPseudo(e, uint64(n)*5+3)
+		want := naiveAddSum(dst, w, e)
+		AddSumInto(dst, w, e)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: dst[%d] = %x, want %x", n, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestAddSumIntoGenericBitExact pins the portable fallback independently of
+// what the host CPU dispatches to.
+func TestAddSumIntoGenericBitExact(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 4, 5, 16, 17, 63, 64, 100} {
+		dst := make([]float64, n)
+		w := make([]float64, n)
+		e := make([]float64, n)
+		fillPseudo(dst, uint64(n)+505)
+		fillPseudo(w, uint64(n)+606)
+		fillPseudo(e, uint64(n)+707)
+		want := naiveAddSum(dst, w, e)
+		addSumIntoGeneric(dst, w, e)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: dst[%d] = %v, want %v", n, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAddSumIntoLengthClamp asserts the min-length contract over all three
+// operands: elements beyond the shortest slice are untouched.
+func TestAddSumIntoLengthClamp(t *testing.T) {
+	dst := []float64{1, 2, 3, 4}
+	AddSumInto(dst, []float64{10, 20, 30}, []float64{100, 200})
+	want := []float64{111, 222, 3, 4}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("dst = %v, want %v", dst, want)
+		}
+	}
+	short := []float64{5}
+	AddSumInto(short, []float64{1, 1}, []float64{2, 2})
+	if short[0] != 8 {
+		t.Fatalf("short = %v, want [8]", short)
+	}
+}
+
+func BenchmarkAddSumInto(b *testing.B) {
+	for _, n := range []int{32, 256, 1024} {
+		b.Run("n"+strconv.Itoa(n), func(b *testing.B) {
+			dst := make([]float64, n)
+			w := make([]float64, n)
+			e := make([]float64, n)
+			fillPseudo(dst, 1)
+			fillPseudo(w, 2)
+			fillPseudo(e, 3)
+			b.SetBytes(int64(n * 16))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AddSumInto(dst, w, e)
+			}
+		})
+	}
+}

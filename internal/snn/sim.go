@@ -184,6 +184,10 @@ func (tr *Trace) OutputResult() Result {
 // use because it reuses internal buffers.
 type Simulator struct {
 	net *Network
+	// dw is the bound per-weight deviation (same shape as net.W), or nil.
+	// The sweep then reads every synapse as the perturbed view
+	// net.W[b][i] + dw[b][i] — see Bind.
+	dw [][]float64
 	// scratch state, allocated once per network shape
 	mp     [][]float64
 	spikes [][]bool
@@ -225,7 +229,8 @@ func synapseLess(a, b SynapseID) bool {
 }
 
 // NewSimulator returns a simulator bound to net. The network may be mutated
-// between runs (weights only); architecture changes require a new simulator.
+// between runs (weights only) or swapped for another of the same
+// architecture with Bind; architecture changes require a new simulator.
 func NewSimulator(net *Network) *Simulator {
 	s := &Simulator{net: net}
 	L := net.Arch.Layers()
@@ -242,6 +247,32 @@ func NewSimulator(net *Network) *Simulator {
 		s.force[k] = make([]bool, net.Arch[k])
 	}
 	return s
+}
+
+// Bind rebinds the simulator to net read through the per-weight deviation
+// dw: every synapse then weighs net.W[b][i] + dw[b][i], the chip-under-test
+// model of a die whose devices each carry a fixed programming offset. dw
+// has the shape of net.W and may be nil (no deviation). Neither net nor dw
+// is copied or mutated, so one simulator serves every configuration
+// programmed into the same die — no per-configuration network clone.
+//
+// The perturbed weight is formed only for the rows of presynaptic neurons
+// that spike, with the same IEEE-754 addition a clone-then-add network
+// performs when it is built, so Run and RunTrace are bit-identical to a
+// simulator over the materialised network (asserted by
+// TestPerturbedViewMatchesClone). net must have the architecture the
+// simulator was created for.
+func (s *Simulator) Bind(net *Network, dw [][]float64) {
+	if !net.Arch.Equal(s.net.Arch) {
+		//lint:ignore no-panic scratch buffers are sized for one architecture; rebinding across shapes is a caller bug
+		panic(fmt.Sprintf("snn: Bind to arch %v on a simulator for %v", net.Arch, s.net.Arch))
+	}
+	if dw != nil && len(dw) != len(net.W) {
+		//lint:ignore no-panic a deviation of the wrong shape is a caller bug, not runtime input
+		panic(fmt.Sprintf("snn: deviation has %d boundaries, network %d", len(dw), len(net.W)))
+	}
+	s.net = net
+	s.dw = dw
 }
 
 // projectMods fills the dense modifier views from the sparse neuron maps,
@@ -295,7 +326,8 @@ func (s *Simulator) projectMods(mods *Modifiers, theta float64) (denseTh, denseF
 	return denseTh, denseForce
 }
 
-// Network returns the network the simulator is bound to.
+// Network returns the network the simulator is bound to (without any
+// deviation bound alongside it).
 func (s *Simulator) Network() *Network { return s.net }
 
 func (s *Simulator) reset() {
@@ -385,21 +417,37 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 			}
 			w := s.net.W[k-1]
 			pre := s.spikes[k-1]
-			for i := 0; i < nIn; i++ {
-				if !pre[i] {
-					continue
+			var dw []float64
+			if s.dw != nil {
+				dw = s.dw[k-1]
+			}
+			if dw == nil {
+				for i := 0; i < nIn; i++ {
+					if !pre[i] {
+						continue
+					}
+					AddInto(y, w[i*nOut:(i+1)*nOut])
 				}
-				AddInto(y, w[i*nOut:(i+1)*nOut])
+			} else {
+				// Perturbed view: w+dw is formed only for spiking rows.
+				for i := 0; i < nIn; i++ {
+					if !pre[i] {
+						continue
+					}
+					AddSumInto(y, w[i*nOut:(i+1)*nOut], dw[i*nOut:(i+1)*nOut])
+				}
 			}
 			// Sparse corrections for stuck and always-on synapses, applied
 			// in sorted SynapseID order so the float64 sums are
-			// bit-reproducible.
+			// bit-reproducible. Both read the synapse's effective weight
+			// (perturbed when a deviation is bound), exactly the value the
+			// dense sweep above accumulated.
 			for _, e := range s.stuck {
 				if e.ID.Boundary != k-1 {
 					continue
 				}
 				if pre[e.ID.Pre] {
-					y[e.ID.Post] += e.W - w[e.ID.Pre*nOut+e.ID.Post]
+					y[e.ID.Post] += e.W - weightAt(w, dw, e.ID.Pre*nOut+e.ID.Post)
 				}
 			}
 			for _, id := range s.alwaysOn {
@@ -409,7 +457,7 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 				// The synapse transmits a spike every timestep: when the
 				// presynaptic neuron is silent the weight still arrives.
 				if !pre[id.Pre] {
-					y[id.Post] += w[id.Pre*nOut+id.Post]
+					y[id.Post] += weightAt(w, dw, id.Pre*nOut+id.Post)
 				}
 			}
 
@@ -452,4 +500,13 @@ func (s *Simulator) run(pattern Pattern, timesteps int, mode InputMode, mods *Mo
 	}
 
 	return Result{SpikeCounts: counts}, trace
+}
+
+// weightAt returns the effective weight w[i], read through the deviation
+// row dw when one is bound (nil dw: the programmed weight itself).
+func weightAt(w, dw []float64, i int) float64 {
+	if dw == nil {
+		return w[i]
+	}
+	return w[i] + dw[i]
 }

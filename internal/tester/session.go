@@ -120,14 +120,21 @@ func (r SessionReport) String() string {
 //
 // With prof = unreliable.Reliable() and the zero policy this is exactly
 // RunChip: first mismatch fails the chip, no retests, no quarantine.
-func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (rep0 SessionReport) {
+func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) SessionReport {
+	return a.runChipSession(&chipScratch{}, mods, prof, vary, policy, seed)
+}
+
+// runChipSession is RunChipSession on caller-owned scratch: the die is
+// simulated as a view, like RunChip, with one simulator rebound per
+// configuration.
+func (a *ATE) runChipSession(sc *chipScratch, mods *snn.Modifiers, prof unreliable.Profile, vary variation.Model, policy RetestPolicy, seed uint64) (rep0 SessionReport) {
 	ensureObs()
 	timer := obs.StartTimer()
 	defer func() { observeSession(timer, rep0) }()
 	sess := prof.NewSession(seed)
-	var errs *variation.ErrorTensor
+	var dw [][]float64
 	if !vary.Zero() {
-		errs = vary.SampleError(a.ts.Arch, stats.NewRNG(seed^varySalt))
+		dw = sc.sample(vary, a.ts.Arch, stats.NewRNG(seed^varySalt))
 	}
 	rep := SessionReport{Outcome: Pass, FailedItem: -1, BaselineItems: len(a.ts.Items)}
 	budget := policy.MaxRetests
@@ -140,8 +147,7 @@ func (a *ATE) RunChipSession(mods *snn.Modifiers, prof unreliable.Profile, vary 
 	// (or drops) the simulated response.
 	apply := func(i int, it pattern.Item, first bool) (snn.Result, error) {
 		if it.ConfigIndex != currentCfg {
-			net := errs.ApplyTo(a.nets[it.ConfigIndex])
-			sim = snn.NewSimulator(net)
+			sim = sc.program(a.nets[it.ConfigIndex], dw)
 			currentCfg = it.ConfigIndex
 		}
 		m := mods
@@ -370,17 +376,19 @@ func (a *ATE) MeasureSessionsAtContext(ctx context.Context, idx []int, mods func
 	ctx, span := obs.StartSpan(ctx, "measure")
 	span.SetAttr("chips", strconv.Itoa(len(idx)))
 	defer span.End()
+	scratch := make([]chipScratch, poolWorkers(len(idx)))
 	perChip := func(i int, w int) (rep SessionReport, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = &WorkerError{Op: "session", Worker: w, Chip: i, Panic: p}
+				scratch[w] = chipScratch{}
 			}
 		}()
 		var m *snn.Modifiers
 		if mods != nil {
 			m = mods(i)
 		}
-		return a.RunChipSession(m, prof, vary, policy, chipSeed(seed, i)), nil
+		return a.runChipSession(&scratch[w], m, prof, vary, policy, chipSeed(seed, i)), nil
 	}
 	results, done := runWorkersCtx(ctx, len(idx), func(k, w int) SessionStats {
 		i := idx[k]

@@ -218,12 +218,49 @@ type Verdict struct {
 // rng drives that sampling and must be non-nil when vary is non-zero.
 //
 // Testing stops at the first failing item (production ATE behaviour).
+//
+// The die is simulated as a view: one simulator per chip, rebound to each
+// configuration together with the chip's deviation tensor, so no perturbed
+// network is materialised and allocations per chip do not grow with the
+// number of configurations.
 func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG) Verdict {
+	return a.runChip(&chipScratch{}, mods, vary, rng)
+}
+
+// chipScratch is one pool worker's reusable chip-under-test state: the
+// simulator every configuration is rebound into, and the buffer the chip's
+// error tensor is sampled into. A scratch serves one chip at a time.
+type chipScratch struct {
+	sim  *snn.Simulator
+	errs variation.ErrorTensor
+}
+
+// sample draws the chip's error tensor into the scratch buffer (nil for a
+// zero model), consuming rng exactly like variation.Model.SampleError.
+func (sc *chipScratch) sample(vary variation.Model, arch snn.Arch, rng *stats.RNG) [][]float64 {
+	if e := vary.SampleErrorInto(&sc.errs, arch, rng); e != nil {
+		return e.E
+	}
+	return nil
+}
+
+// program rebinds the scratch simulator to configuration net read through
+// the chip's deviation dw, creating the simulator on first use.
+func (sc *chipScratch) program(net *snn.Network, dw [][]float64) *snn.Simulator {
+	if sc.sim == nil {
+		sc.sim = snn.NewSimulator(net)
+	}
+	sc.sim.Bind(net, dw)
+	return sc.sim
+}
+
+// runChip is RunChip on caller-owned scratch.
+func (a *ATE) runChip(sc *chipScratch, mods *snn.Modifiers, vary variation.Model, rng *stats.RNG) Verdict {
 	if !vary.Zero() && rng == nil {
 		//lint:ignore no-panic documented API contract on RunChip: non-zero variation requires an RNG
 		panic("tester: variation requires an RNG")
 	}
-	errs := vary.SampleError(a.ts.Arch, rng)
+	dw := sc.sample(vary, a.ts.Arch, rng)
 	v := Verdict{Passed: true, FailedItem: -1}
 	// Items are applied in order; a configuration is (re)programmed when
 	// first encountered, then reused for consecutive items sharing it.
@@ -231,8 +268,7 @@ func (a *ATE) RunChip(mods *snn.Modifiers, vary variation.Model, rng *stats.RNG)
 	var sim *snn.Simulator
 	for i, it := range a.ts.Items {
 		if it.ConfigIndex != currentCfg {
-			net := errs.ApplyTo(a.nets[it.ConfigIndex])
-			sim = snn.NewSimulator(net)
+			sim = sc.program(a.nets[it.ConfigIndex], dw)
 			currentCfg = it.ConfigIndex
 		}
 		res := sim.Run(it.Pattern, it.Timesteps, it.Mode(), mods)
@@ -492,8 +528,8 @@ func (a *ATE) MeasureOverkill(nChips int, vary variation.Model, seed uint64) flo
 // as structured errors; errored chips are excluded from the percentage's
 // denominator.
 func (a *ATE) OverkillCampaign(nChips int, vary variation.Model, seed uint64) (float64, []error) {
-	return a.countChips("overkill", nChips, func(i int, rng *stats.RNG) bool {
-		return !a.RunChip(nil, vary, rng).Passed
+	return a.countChips("overkill", nChips, func(i int, sc *chipScratch, rng *stats.RNG) bool {
+		return !a.runChip(sc, nil, vary, rng).Passed
 	}, seed)
 }
 
@@ -515,8 +551,8 @@ func (a *ATE) MeasureEscape(faults []fault.Fault, values fault.Values, vary vari
 // structured errors; errored chips are excluded from the percentage's
 // denominator.
 func (a *ATE) EscapeCampaign(faults []fault.Fault, values fault.Values, vary variation.Model, seed uint64) (float64, []error) {
-	return a.countChips("escape", len(faults), func(i int, rng *stats.RNG) bool {
-		return a.RunChip(faults[i].Modifiers(values), vary, rng).Passed
+	return a.countChips("escape", len(faults), func(i int, sc *chipScratch, rng *stats.RNG) bool {
+		return a.runChip(sc, faults[i].Modifiers(values), vary, rng).Passed
 	}, seed)
 }
 
@@ -569,8 +605,8 @@ func (a *ATE) EscapeTally(faults []fault.Fault, values fault.Values, vary variat
 // it, so a sharded campaign over a partition of the indices merges to the
 // bit-identical whole-population tally.
 func (a *ATE) EscapeTallyAt(faults []fault.Fault, values fault.Values, idx []int, vary variation.Model, seed uint64) ChipTally {
-	return a.tallyChipsAt("escape", idx, func(i int, rng *stats.RNG) bool {
-		return a.RunChip(faults[i].Modifiers(values), vary, rng).Passed
+	return a.tallyChipsAt("escape", idx, func(i int, sc *chipScratch, rng *stats.RNG) bool {
+		return a.runChip(sc, faults[i].Modifiers(values), vary, rng).Passed
 	}, seed)
 }
 
@@ -583,8 +619,8 @@ func (a *ATE) OverkillTally(nChips int, vary variation.Model, seed uint64) ChipT
 // indices are listed in idx, with the same global-index seed derivation as
 // EscapeTallyAt.
 func (a *ATE) OverkillTallyAt(idx []int, vary variation.Model, seed uint64) ChipTally {
-	return a.tallyChipsAt("overkill", idx, func(i int, rng *stats.RNG) bool {
-		return !a.RunChip(nil, vary, rng).Passed
+	return a.tallyChipsAt("overkill", idx, func(i int, sc *chipScratch, rng *stats.RNG) bool {
+		return !a.runChip(sc, nil, vary, rng).Passed
 	}, seed)
 }
 
@@ -592,7 +628,7 @@ func (a *ATE) OverkillTallyAt(idx []int, vary variation.Model, seed uint64) Chip
 // the percentage that satisfied it, over the chips that evaluated cleanly.
 // Chip i always receives the same derived seed. Worker panics are recovered
 // into structured errors instead of killing the process.
-func (a *ATE) countChips(op string, n int, pred func(i int, rng *stats.RNG) bool, seed uint64) (float64, []error) {
+func (a *ATE) countChips(op string, n int, pred func(i int, sc *chipScratch, rng *stats.RNG) bool, seed uint64) (float64, []error) {
 	t := a.tallyChipsAt(op, identityIndices(n), pred, seed)
 	return t.Pct(), t.Errors
 }
@@ -601,8 +637,9 @@ func (a *ATE) countChips(op string, n int, pred func(i int, rng *stats.RNG) bool
 // worker pool and tallies the hits. pred receives the global index, and the
 // per-chip RNG seed derives from that global index, so any partition of a
 // population across calls (or cluster nodes) reproduces the exact
-// whole-population accounting.
-func (a *ATE) tallyChipsAt(op string, idx []int, pred func(i int, rng *stats.RNG) bool, seed uint64) ChipTally {
+// whole-population accounting. Each pool slot hands pred its own reusable
+// chipScratch; a panicking chip discards its slot's scratch.
+func (a *ATE) tallyChipsAt(op string, idx []int, pred func(i int, sc *chipScratch, rng *stats.RNG) bool, seed uint64) ChipTally {
 	var tally ChipTally
 	if len(idx) == 0 {
 		return tally
@@ -614,14 +651,16 @@ func (a *ATE) tallyChipsAt(op string, idx []int, pred func(i int, rng *stats.RNG
 		hit bool
 		err error
 	}
+	scratch := make([]chipScratch, poolWorkers(len(idx)))
 	verdicts := runWorkers(len(idx), func(k, w int) (v verdict) {
 		i := idx[k]
 		defer func() {
 			if p := recover(); p != nil {
 				v.err = &WorkerError{Op: op, Worker: w, Chip: i, Panic: p}
+				scratch[w] = chipScratch{}
 			}
 		}()
-		v.hit = pred(i, stats.NewRNG(chipSeed(seed, i)))
+		v.hit = pred(i, &scratch[w], stats.NewRNG(chipSeed(seed, i)))
 		return v
 	})
 	for _, v := range verdicts {

@@ -41,42 +41,24 @@ func (m Model) String() string {
 	return fmt.Sprintf("σ=%g", m.Sigma)
 }
 
-// Perturb adds an independent N(0, σ²) error to every weight of net in
-// place — the paper's exact CUT model (Section 5.3: "we modify each weight
-// of the CUT by adding a random variable of a zero-mean normal
-// distribution").
+// ErrorTensor is one chip's frozen per-synapse weight deviation: device i
+// always stores its programmed weight shifted by E_i — the paper's exact CUT
+// model (Section 5.3: "we modify each weight of the CUT by adding a random
+// variable of a zero-mean normal distribution"). Sampling the tensor once per
+// chip and applying it to every programmed configuration models a die whose
+// synapse devices each carry a fixed programming offset.
+//
+// The tensor is a view, not a network: campaigns bind E next to each
+// programmed configuration (snn.Simulator.Bind), and the simulator reads
+// every weight as W+E for the rows of presynaptic neurons that spike, so no
+// per-configuration network is materialised. ApplyTo builds that network
+// explicitly and stays as the reference the view is tested against.
 //
 // Deliberately NO clamping to [ωmin, ωmax]: clamping would bias every
 // saturated weight toward zero (a weight at -ωmax can only move up), which
 // systematically shifts the Ω sums of test configurations built from
 // saturated weights and fabricates overkill the unbiased model does not
 // have. The chip package separately models physical range limits.
-func (m Model) Perturb(net *snn.Network, rng *stats.RNG) {
-	if m.Zero() {
-		return
-	}
-	for b := range net.W {
-		row := net.W[b]
-		for i := range row {
-			row[i] += m.Sigma * rng.NormFloat64()
-		}
-	}
-}
-
-// PerturbedClone returns a freshly perturbed copy of net, leaving the
-// original untouched.
-func (m Model) PerturbedClone(net *snn.Network, rng *stats.RNG) *snn.Network {
-	c := net.Clone()
-	m.Perturb(c, rng)
-	return c
-}
-
-// ErrorTensor is one chip's frozen per-synapse weight deviation: device i
-// always stores its programmed weight shifted by E_i. Sampling the tensor
-// once per chip and applying it to every programmed configuration models a
-// die whose synapse devices each carry a fixed programming offset, and makes
-// whole-test-program simulation ~|configs|× cheaper than redrawing noise per
-// programming.
 type ErrorTensor struct {
 	E [][]float64 // same shape as Network.W
 }
@@ -84,23 +66,47 @@ type ErrorTensor struct {
 // SampleError draws a chip's error tensor for an architecture. A zero model
 // returns nil, meaning "no deviation".
 func (m Model) SampleError(arch snn.Arch, rng *stats.RNG) *ErrorTensor {
+	return m.SampleErrorInto(nil, arch, rng)
+}
+
+// SampleErrorInto is SampleError drawing into buf's storage, reallocating
+// only rows whose size does not fit the architecture, and returns buf (a
+// fresh tensor when buf is nil). Population campaigns keep one buffer per
+// worker, so sampling a chip allocates nothing. The RNG stream is consumed
+// exactly as SampleError does: boundary by boundary, weight by weight, one
+// normal draw each. A zero model returns nil and leaves buf untouched.
+func (m Model) SampleErrorInto(buf *ErrorTensor, arch snn.Arch, rng *stats.RNG) *ErrorTensor {
 	if m.Zero() {
 		return nil
 	}
-	e := &ErrorTensor{E: make([][]float64, arch.Boundaries())}
-	for b := 0; b < arch.Boundaries(); b++ {
-		row := make([]float64, arch[b]*arch[b+1])
+	if buf == nil {
+		buf = &ErrorTensor{}
+	}
+	nb := arch.Boundaries()
+	if cap(buf.E) < nb {
+		buf.E = make([][]float64, nb)
+	}
+	buf.E = buf.E[:nb]
+	for b := 0; b < nb; b++ {
+		n := arch[b] * arch[b+1]
+		row := buf.E[b]
+		if cap(row) < n {
+			row = make([]float64, n)
+		}
+		row = row[:n]
 		for i := range row {
 			row[i] = m.Sigma * rng.NormFloat64()
 		}
-		e.E[b] = row
+		buf.E[b] = row
 	}
-	return e
+	return buf
 }
 
 // ApplyTo returns a clone of net with the tensor added to every weight. A
 // nil tensor returns net itself (no copy needed — the caller must not
-// mutate it).
+// mutate it). Campaigns read the same weights through snn.Simulator.Bind
+// without the clone; ApplyTo is the reference materialisation that view
+// must match bit for bit.
 func (e *ErrorTensor) ApplyTo(net *snn.Network) *snn.Network {
 	if e == nil {
 		return net

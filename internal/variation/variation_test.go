@@ -28,13 +28,15 @@ func TestModelBasics(t *testing.T) {
 	}
 }
 
+// TestPerturbMoments checks the sampled deviation is unbiased with the
+// model's σ: every weight of a perturbed configuration is W+E.
 func TestPerturbMoments(t *testing.T) {
+	m := Model{Sigma: 0.2}
+	e := m.SampleError(snn.Arch{100, 100}, stats.NewRNG(9))
 	net := snn.New(snn.Arch{100, 100}, snn.DefaultParams())
 	net.Fill(1)
-	m := Model{Sigma: 0.2}
-	m.Perturb(net, stats.NewRNG(9))
 	xs := make([]float64, 0, 10000)
-	for _, w := range net.W[0] {
+	for _, w := range e.ApplyTo(net).W[0] {
 		xs = append(xs, w)
 	}
 	if mean := stats.Mean(xs); math.Abs(mean-1) > 0.01 {
@@ -51,10 +53,10 @@ func TestPerturbNoClampBias(t *testing.T) {
 	net := snn.New(snn.Arch{100, 100}, snn.DefaultParams())
 	net.Fill(-10) // ωmin
 	m := Model{Sigma: 0.5}
-	m.Perturb(net, stats.NewRNG(10))
+	e := m.SampleError(net.Arch, stats.NewRNG(10))
 	xs := make([]float64, 0, 10000)
 	below := 0
-	for _, w := range net.W[0] {
+	for _, w := range e.ApplyTo(net).W[0] {
 		xs = append(xs, w)
 		if w < -10 {
 			below++
@@ -69,20 +71,23 @@ func TestPerturbNoClampBias(t *testing.T) {
 }
 
 func TestPerturbZeroIsNoop(t *testing.T) {
-	net := snn.New(snn.Arch{3, 2}, snn.DefaultParams())
-	net.Fill(2)
-	None().Perturb(net, nil) // nil RNG must be fine for zero model
-	for _, w := range net.W[0] {
-		if w != 2 {
-			t.Errorf("zero model changed weight to %g", w)
-		}
+	// A zero model draws nothing (a nil RNG must be fine) and leaves a
+	// reused buffer untouched.
+	buf := &ErrorTensor{E: [][]float64{{2, 2}}}
+	if e := None().SampleErrorInto(buf, snn.Arch{3, 2}, nil); e != nil {
+		t.Fatalf("zero model produced a tensor")
+	}
+	if buf.E[0][0] != 2 || buf.E[0][1] != 2 {
+		t.Errorf("zero model wrote into the buffer: %v", buf.E)
 	}
 }
 
-func TestPerturbedCloneLeavesOriginal(t *testing.T) {
+// TestApplyToLeavesOriginal pins the reference materialisation: ApplyTo
+// clones, so the programmed configuration stays untouched.
+func TestApplyToLeavesOriginal(t *testing.T) {
 	net := snn.New(snn.Arch{3, 2}, snn.DefaultParams())
 	net.Fill(1)
-	c := Model{Sigma: 0.1}.PerturbedClone(net, stats.NewRNG(3))
+	c := Model{Sigma: 0.1}.SampleError(net.Arch, stats.NewRNG(3)).ApplyTo(net)
 	for _, w := range net.W[0] {
 		if w != 1 {
 			t.Fatalf("original mutated: %g", w)
@@ -96,6 +101,47 @@ func TestPerturbedCloneLeavesOriginal(t *testing.T) {
 	}
 	if !changed {
 		t.Errorf("clone not perturbed")
+	}
+}
+
+// TestSampleErrorIntoMatchesSampleError asserts the buffered sampler
+// consumes the RNG stream exactly like SampleError, reuses the buffer's
+// rows, and reshapes a buffer from another architecture.
+func TestSampleErrorIntoMatchesSampleError(t *testing.T) {
+	m := Model{Sigma: 0.3}
+	arch := snn.Arch{5, 4, 3}
+	buf := m.SampleErrorInto(nil, snn.Arch{2, 9, 1, 6}, stats.NewRNG(1))
+	for seed := uint64(1); seed <= 3; seed++ {
+		want := m.SampleError(arch, stats.NewRNG(seed))
+		r1 := stats.NewRNG(seed)
+		got := m.SampleErrorInto(buf, arch, r1)
+		if got != buf {
+			t.Fatalf("SampleErrorInto did not return its buffer")
+		}
+		if len(got.E) != len(want.E) {
+			t.Fatalf("%d boundaries, want %d", len(got.E), len(want.E))
+		}
+		for b := range want.E {
+			if len(got.E[b]) != len(want.E[b]) {
+				t.Fatalf("boundary %d: %d weights, want %d", b, len(got.E[b]), len(want.E[b]))
+			}
+			for i := range want.E[b] {
+				if math.Float64bits(got.E[b][i]) != math.Float64bits(want.E[b][i]) {
+					t.Fatalf("seed %d E[%d][%d] = %v, want %v", seed, b, i, got.E[b][i], want.E[b][i])
+				}
+			}
+		}
+		// The stream position after sampling matches too.
+		r2 := stats.NewRNG(seed)
+		m.SampleError(arch, r2)
+		if r1.Uint64() != r2.Uint64() {
+			t.Fatalf("seed %d: RNG stream diverged after sampling", seed)
+		}
+	}
+	row := &buf.E[0][0]
+	m.SampleErrorInto(buf, arch, stats.NewRNG(9))
+	if &buf.E[0][0] != row {
+		t.Errorf("same-shape resample reallocated its row")
 	}
 }
 
@@ -171,13 +217,11 @@ func TestPerturbDeterministicQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		arch := snn.Arch{3, 3}
 		m := Model{Sigma: 0.3}
-		a := snn.New(arch, snn.DefaultParams())
-		b := snn.New(arch, snn.DefaultParams())
-		m.Perturb(a, stats.NewRNG(seed))
-		m.Perturb(b, stats.NewRNG(seed))
-		for k := range a.W {
-			for i := range a.W[k] {
-				if a.W[k][i] != b.W[k][i] {
+		a := m.SampleError(arch, stats.NewRNG(seed))
+		b := m.SampleError(arch, stats.NewRNG(seed))
+		for k := range a.E {
+			for i := range a.E[k] {
+				if a.E[k][i] != b.E[k][i] {
 					return false
 				}
 			}
