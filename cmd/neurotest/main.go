@@ -8,7 +8,8 @@
 //	                   [-o tests.bin] [-json]
 //	neurotest info     -i tests.bin [-json-in]
 //	neurotest coverage -arch 576-256-32-10 [-kind SWF] [-bits 8]
-//	                   [-variation-aware]
+//	                   [-variation-aware] [-list-undetected]
+//	neurotest coverage -i tests.bin [-json-in] [-kind SWF] [-bits 8]
 //	neurotest flaky    -arch 64-32-16-10 [-probs 1.0,0.5] [-budgets 0,3]
 //	                   [-jitter 0.02] [-drop 0.01] [-vote=false]
 //	neurotest online   -arch 24-16-8-4 [-probs 1.0,0.25] [-thresholds 6,12]
@@ -235,17 +236,7 @@ func cmdInfo(args []string) error {
 	if *in == "" {
 		return usagef("missing -i")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var ts *neurotest.TestSet
-	if *asJSON {
-		ts, err = pattern.ReadJSON(f)
-	} else {
-		ts, err = pattern.ReadBinary(f)
-	}
+	ts, err := readTestSet(*in, *asJSON)
 	if err != nil {
 		return err
 	}
@@ -264,19 +255,18 @@ func cmdInfo(args []string) error {
 
 func cmdCoverage(args []string) error {
 	fs := flag.NewFlagSet("coverage", flag.ExitOnError)
-	archFlag := fs.String("arch", "576-256-32-10", "layer widths, dash separated")
+	in := fs.String("i", "", "grade this stored test set against every -kind instead of generating per-kind suites")
+	jsonIn := fs.Bool("json-in", false, "-i is JSON instead of compact binary")
+	archFlag := fs.String("arch", "576-256-32-10", "layer widths, dash separated (ignored with -i)")
 	kindFlag := fs.String("kind", "all", "fault model or all")
 	varAware := fs.Bool("variation-aware", false, "use the variation-tolerant settings")
 	bits := fs.Int("bits", 0, "quantize configurations to this many bits (0 = ideal)")
 	gran := fs.String("granularity", "channel", "quantization granularity: network, boundary, channel")
+	listUndetected := fs.Bool("list-undetected", false, "print every undetected fault, not just the first five")
 	traceOut := fs.String("trace", "", "write campaign phase spans to this file as NDJSON")
 	//lint:ignore unchecked-error ExitOnError FlagSet: Parse exits the process on error and never returns one
 	fs.Parse(args)
 
-	arch, err := parseArch(*archFlag)
-	if err != nil {
-		return err
-	}
 	kind, all, err := parseKind(*kindFlag)
 	if err != nil {
 		return err
@@ -304,10 +294,32 @@ func cmdCoverage(args []string) error {
 		scheme = &s
 	}
 
-	m := neurotest.NewModel(arch...)
-	g, err := m.Generator(regimeOf(*varAware))
-	if err != nil {
-		return err
+	// suite returns the test set graded against kind k: the stored set for
+	// every kind with -i, else kind k's generated suite.
+	var m *neurotest.Model
+	var suite func(k neurotest.FaultKind) *neurotest.TestSet
+	if *in != "" {
+		if *varAware {
+			return usagef("-variation-aware selects generated suites; it cannot apply to -i")
+		}
+		ts, err := readTestSet(*in, *jsonIn)
+		if err != nil {
+			return err
+		}
+		m = &neurotest.Model{Arch: ts.Arch, Params: ts.Params, Values: fault.PaperValues(ts.Params.Theta)}
+		suite = func(neurotest.FaultKind) *neurotest.TestSet { return ts }
+		fmt.Printf("test set %q on %v: %d configs, %d patterns\n", ts.Name, ts.Arch, ts.NumConfigs(), ts.NumPatterns())
+	} else {
+		arch, err := parseArch(*archFlag)
+		if err != nil {
+			return err
+		}
+		m = neurotest.NewModel(arch...)
+		g, err := m.Generator(regimeOf(*varAware))
+		if err != nil {
+			return err
+		}
+		suite = g.Generate
 	}
 	kinds := fault.Kinds()
 	if !all {
@@ -318,11 +330,15 @@ func cmdCoverage(args []string) error {
 		rec = obs.NewRecorder(0)
 	}
 	for _, k := range kinds {
-		ts := g.Generate(k)
+		ts := suite(k)
 		// The trace ID derives from the campaign's content address, so a
 		// re-run of the same coverage measurement yields the same trace.
-		spec := service.SuiteSpec{Arch: arch, VariationAware: *varAware, Kind: k, Scheme: scheme}
-		ctx, root := obs.StartTrace(context.Background(), rec, obs.TraceID(spec.Key()+"|cli-coverage"), "coverage")
+		spec := service.SuiteSpec{Arch: m.Arch, VariationAware: *varAware, Kind: k, Scheme: scheme}
+		key := spec.Key() + "|cli-coverage"
+		if *in != "" {
+			key += "|" + *in
+		}
+		ctx, root := obs.StartTrace(context.Background(), rec, obs.TraceID(key), "coverage")
 		root.SetAttr("kind", k.String())
 		cov, err := m.MeasureCoverageContext(ctx, k, ts, scheme)
 		root.End()
@@ -331,7 +347,7 @@ func cmdCoverage(args []string) error {
 		}
 		fmt.Printf("%-5v %d configs, %d patterns: coverage %v\n", k, ts.NumConfigs(), ts.NumPatterns(), cov)
 		for i, f := range cov.Undetected {
-			if i >= 5 {
+			if i >= 5 && !*listUndetected {
 				fmt.Printf("      ... and %d more undetected\n", len(cov.Undetected)-5)
 				break
 			}
@@ -345,6 +361,19 @@ func cmdCoverage(args []string) error {
 		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", rec.Len(), *traceOut)
 	}
 	return nil
+}
+
+// readTestSet loads a stored test set, compact binary or (jsonIn) JSON.
+func readTestSet(path string, jsonIn bool) (*neurotest.TestSet, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if jsonIn {
+		return pattern.ReadJSON(f)
+	}
+	return pattern.ReadBinary(f)
 }
 
 // writeTrace dumps a recorder's spans to path as NDJSON.

@@ -78,6 +78,24 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("coverage output: %s", out)
 	}
 
+	// coverage ← file: the stored 12-8-4 suite detects every fault of all
+	// five models
+	out, err = run(t, bin, "coverage", "-i", tests, "-list-undetected")
+	if err != nil {
+		t.Fatalf("coverage -i: %v\n%s", err, out)
+	}
+	for _, k := range []string{"NASF", "ESF", "HSF", "SWF", "SASF"} {
+		if !strings.Contains(out, k) {
+			t.Errorf("coverage -i output lacks %s:\n%s", k, out)
+		}
+	}
+	if got := strings.Count(out, "coverage 100.00%"); got != 5 {
+		t.Errorf("coverage -i: %d of 5 models at 100%%:\n%s", got, out)
+	}
+	if strings.Contains(out, "undetected:") {
+		t.Errorf("coverage -i lists undetected faults:\n%s", out)
+	}
+
 	// diagnose with an injected defect
 	out, err = run(t, bin, "diagnose", "-arch", "12-8-4", "-inject", "HSF:2,3")
 	if err != nil {

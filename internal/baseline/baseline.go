@@ -162,13 +162,13 @@ func Generate(name string, kind fault.Kind, opt Options) (*pattern.TestSet, erro
 		}
 	}
 
-	// Detection matrix via the incremental engine.
+	// Detection matrix via the packed kernel.
 	eng := faultsim.New(candidates, opt.Values, nil)
 	nItems := eng.NumItems()
 	detects := make([][]int, nItems) // item -> indices of sample faults it detects
-	for fi, f := range sample {
+	for fi, row := range eng.DetectMatrix(sample) {
 		for it := 0; it < nItems; it++ {
-			if eng.DetectsOnItem(f, it) {
+			if row[it/64]&(1<<uint(it%64)) != 0 {
 				detects[it] = append(detects[it], fi)
 			}
 		}

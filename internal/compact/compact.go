@@ -44,9 +44,9 @@ func Compact(ts *pattern.TestSet, values fault.Values, transform faultsim.Config
 	// Detection lists and per-fault multiplicity.
 	detects := make([][]int, n) // item -> universe indices it detects
 	mult := make([]int, len(universe))
-	for fi, f := range universe {
+	for fi, row := range eng.DetectMatrix(universe) {
 		for it := 0; it < n; it++ {
-			if eng.DetectsOnItem(f, it) {
+			if row[it/64]&(1<<uint(it%64)) != 0 {
 				detects[it] = append(detects[it], fi)
 				mult[fi]++
 			}

@@ -267,7 +267,7 @@ func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, target
 		// the pre-targets/pre-ancillaries at boundary ℓ-2.
 		pat = snn.OnesPattern(arch.Inputs())
 		maximizeWeights(cfg, 0, l-2)
-		isPre := memberSet(preTargets, preAnc)
+		isPre := memberSet(arch[l-1], preTargets, preAnc)
 		for j := 0; j < arch[l-1]; j++ {
 			if isPre[j] {
 				cfg.SetColumn(l-2, j, wmax)
@@ -279,9 +279,9 @@ func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, target
 
 	// Boundary ℓ-1 → ℓ: ω_pt / ω_pa / 0 into targets and ancillaries,
 	// ωmin into everyone else.
-	isTarget := memberSet(targets, anc)
-	isPT := memberSet(preTargets, nil)
-	isPA := memberSet(preAnc, nil)
+	isTarget := memberSet(arch[l], targets, anc)
+	isPT := memberSet(arch[l-1], preTargets, nil)
+	isPA := memberSet(arch[l-1], preAnc, nil)
 	for j := 0; j < arch[l]; j++ {
 		if !isTarget[j] {
 			cfg.SetColumn(l-1, j, wmin)
@@ -306,8 +306,8 @@ func (g *Generator) faultAct(cfg *snn.Network, l int, preTargets, preAnc, target
 // boundaries after layer l+1 are saturated at ωmax.
 func (g *Generator) faultProp(cfg *snn.Network, l int, targets, anc []int, wt, wa float64) {
 	arch := g.opt.Arch
-	isT := memberSet(targets, nil)
-	isA := memberSet(anc, nil)
+	isT := memberSet(arch[l], targets, nil)
+	isA := memberSet(arch[l], anc, nil)
 	nOut := arch[l+1]
 	for i := 0; i < arch[l]; i++ {
 		var w float64
@@ -366,7 +366,7 @@ func pickAncillaries(n int, targets []int, count int) []int {
 	if count == 0 {
 		return nil
 	}
-	isT := memberSet(targets, nil)
+	isT := memberSet(n, targets, nil)
 	out := make([]int, 0, count)
 	for i := 0; i < n && len(out) < count; i++ {
 		if !isT[i] {
@@ -380,9 +380,10 @@ func pickAncillaries(n int, targets []int, count int) []int {
 	return out
 }
 
-// memberSet builds a membership lookup over two index slices.
-func memberSet(a, b []int) map[int]bool {
-	m := make(map[int]bool, len(a)+len(b))
+// memberSet builds a membership lookup over two index slices of a layer of
+// width n.
+func memberSet(n int, a, b []int) []bool {
+	m := make([]bool, n)
 	for _, i := range a {
 		m[i] = true
 	}

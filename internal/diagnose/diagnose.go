@@ -141,7 +141,8 @@ type Dictionary struct {
 // (must match how chips under diagnosis are programmed).
 //
 // Unlike coverage measurement, dictionary construction cannot early-exit:
-// the full per-item signature is what distinguishes faults.
+// the full per-item signature is what distinguishes faults. The signatures
+// are the rows of the packed kernel's detection matrix.
 func Build(ts *pattern.TestSet, values fault.Values, transform faultsim.ConfigTransform, universe []fault.Fault) *Dictionary {
 	eng := faultsim.New(ts, values, transform)
 	n := eng.NumItems()
@@ -151,13 +152,9 @@ func Build(ts *pattern.TestSet, values fault.Values, transform faultsim.ConfigTr
 		sigs:    make(map[string]Signature),
 		total:   len(universe),
 	}
-	for _, f := range universe {
-		sig := NewSignature(n)
-		for i := 0; i < n; i++ {
-			if eng.DetectsOnItem(f, i) {
-				sig.SetFail(i)
-			}
-		}
+	for fi, row := range eng.DetectMatrix(universe) {
+		f := universe[fi]
+		sig := Signature{words: row, n: n}
 		if sig.AnyFail() {
 			d.detected++
 		}

@@ -128,6 +128,55 @@ func NewSynapseFault(kind Kind, id snn.SynapseID) Fault {
 	return Fault{Kind: kind, Synapse: id}
 }
 
+// SiteError reports a fault that Universe would never enumerate for an
+// architecture: an unknown kind, or a site outside the network.
+type SiteError struct {
+	Fault  Fault
+	Arch   snn.Arch
+	Reason string
+}
+
+// Error names the fault, the architecture and what is wrong with the site.
+func (e *SiteError) Error() string {
+	return fmt.Sprintf("fault: %v is not a fault of %v: %s", e.Fault, e.Arch, e.Reason)
+}
+
+// Validate checks f against arch under the conditions Universe enumerates:
+// a known kind; a neuron fault on a non-input neuron (layer 1..L-1, index
+// inside the layer); a synapse fault on an existing synapse (boundary
+// 0..L-2, pre and post inside the layers the boundary joins). It returns a
+// *SiteError naming f otherwise, so campaigns can reject bad input before
+// any simulation indexes with it.
+func (f Fault) Validate(arch snn.Arch) error {
+	bad := func(format string, args ...any) error {
+		return &SiteError{Fault: f, Arch: arch, Reason: fmt.Sprintf(format, args...)}
+	}
+	switch {
+	case f.Kind.IsNeuronFault():
+		n := f.Neuron
+		if n.Layer < 1 || n.Layer >= arch.Layers() {
+			return bad("layer %d is not a non-input layer", n.Layer)
+		}
+		if n.Index < 0 || n.Index >= arch[n.Layer] {
+			return bad("index %d outside layer %d of width %d", n.Index, n.Layer, arch[n.Layer])
+		}
+	case f.Kind.IsSynapseFault():
+		s := f.Synapse
+		if s.Boundary < 0 || s.Boundary >= arch.Boundaries() {
+			return bad("boundary %d outside 0..%d", s.Boundary, arch.Boundaries()-1)
+		}
+		if s.Pre < 0 || s.Pre >= arch[s.Boundary] {
+			return bad("pre %d outside layer %d of width %d", s.Pre, s.Boundary, arch[s.Boundary])
+		}
+		if s.Post < 0 || s.Post >= arch[s.Boundary+1] {
+			return bad("post %d outside layer %d of width %d", s.Post, s.Boundary+1, arch[s.Boundary+1])
+		}
+	default:
+		return bad("unknown kind")
+	}
+	return nil
+}
+
 // String renders the fault site for diagnostics.
 func (f Fault) String() string {
 	if f.Kind.IsNeuronFault() {

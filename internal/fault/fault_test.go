@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"neurotest/internal/snn"
@@ -109,6 +111,61 @@ func TestUniverseDeterministicOrder(t *testing.T) {
 	// First fault is boundary 0, pre 0, post 0.
 	if a[0].Synapse != (snn.SynapseID{}) {
 		t.Errorf("first synapse fault = %v", a[0].Synapse)
+	}
+}
+
+// TestValidate: every universe member is valid, and each kind rejects a
+// bad layer, index, boundary, pre or post value with a *SiteError naming
+// the fault.
+func TestValidate(t *testing.T) {
+	arch := snn.Arch{4, 3, 2}
+	for _, k := range Kinds() {
+		for _, f := range Universe(arch, k) {
+			if err := f.Validate(arch); err != nil {
+				t.Fatalf("universe member rejected: %v", err)
+			}
+		}
+	}
+	n := func(k Kind, layer, index int) Fault {
+		return Fault{Kind: k, Neuron: snn.NeuronID{Layer: layer, Index: index}}
+	}
+	s := func(k Kind, b, pre, post int) Fault {
+		return Fault{Kind: k, Synapse: snn.SynapseID{Boundary: b, Pre: pre, Post: post}}
+	}
+	var bad []Fault
+	for _, k := range NeuronKinds() {
+		bad = append(bad,
+			n(k, 0, 0),  // input layer: no neuron faults there
+			n(k, -1, 0), // layer below range
+			n(k, 3, 0),  // layer past the output layer
+			n(k, 1, -1), // index below range
+			n(k, 1, 3),  // index past layer 1's width
+			n(k, 2, 2),  // index past the output layer's width
+		)
+	}
+	for _, k := range SynapseKinds() {
+		bad = append(bad,
+			s(k, -1, 0, 0), // boundary below range
+			s(k, 2, 0, 0),  // boundary past the last one
+			s(k, 0, -1, 0), // pre below range
+			s(k, 0, 4, 0),  // pre past the input layer's width
+			s(k, 1, 3, 0),  // pre past layer 1's width
+			s(k, 0, 0, -1), // post below range
+			s(k, 0, 0, 3),  // post past layer 1's width
+			s(k, 1, 0, 2),  // post past the output layer's width
+		)
+	}
+	bad = append(bad, Fault{Kind: numKinds}, Fault{Kind: -1})
+	for _, f := range bad {
+		err := f.Validate(arch)
+		var se *SiteError
+		if !errors.As(err, &se) || se.Fault != f {
+			t.Errorf("%v: Validate = %v, want a *SiteError naming it", f, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), f.String()) {
+			t.Errorf("%v: error %q does not name the fault", f, err)
+		}
 	}
 }
 

@@ -28,15 +28,18 @@
 //     number of concurrent readers.
 //   - Evaluator holds the per-goroutine scratch buffers one fault
 //     evaluation needs. Evaluators are cheap (a handful of slices), so a
-//     worker pool builds one per slot and discards it freely — for example
-//     after recovering a panic — without losing the goldens or the memo.
+//     worker pool builds one per slot without duplicating the goldens or
+//     the memo.
 //
-// New keeps the historical single-goroutine Engine shape as a thin wrapper:
-// one Golden plus one Evaluator.
+// Production callers decide detection with the packed kernel only
+// (packed.go): DetectsBatch for verdicts, DetectMatrix for per-item
+// detection bitsets. The fault-at-a-time scalar path in this file
+// (DetectsOnItem, Detects, DetectingItem) is the reference the differential
+// tests and the benchmark probes compare the kernel against. New is a thin
+// wrapper for single-goroutine use: one Golden plus one Evaluator.
 package faultsim
 
 import (
-	"context"
 	"math/bits"
 	"sync"
 
@@ -229,29 +232,21 @@ func (g *Golden) NewEvaluator(values fault.Values) *Evaluator {
 	return e
 }
 
-// Engine is the historical single-goroutine view of the simulator: a
-// Golden and an Evaluator rolled into one value. It is an alias of
-// Evaluator, so every existing call site keeps compiling and behaving
-// bit-identically; parallel campaigns should build one Golden and one
-// Evaluator per worker instead.
-type Engine = Evaluator
-
 // ConfigTransform optionally rewrites each test configuration before
 // simulation — e.g. quantizing it the way the chip's weight memory would.
 // nil means "use the configuration as generated".
 type ConfigTransform func(*snn.Network) *snn.Network
 
-// New builds an engine: it runs and caches the good-chip simulation of every
-// item in ts. transform, when non-nil, is applied once per configuration.
-func New(ts *pattern.TestSet, values fault.Values, transform ConfigTransform) *Engine {
+// New builds an evaluator over a fresh Golden: it runs and caches the
+// good-chip simulation of every item in ts. transform, when non-nil, is
+// applied once per configuration.
+func New(ts *pattern.TestSet, values fault.Values, transform ConfigTransform) *Evaluator {
 	return NewGolden(ts, transform).NewEvaluator(values)
 }
 
-// Golden returns the shared golden half the evaluator reads.
-func (e *Evaluator) Golden() *Golden { return e.g }
-
-// DetectsOnItem reports whether item idx alone detects f. The baseline
-// generators use this to build detection matrices for greedy selection.
+// DetectsOnItem reports whether item idx alone detects f, on the scalar
+// reference path. DetectMatrix computes the same verdicts for every
+// (fault, item) pair with the packed kernel.
 func (e *Evaluator) DetectsOnItem(f fault.Fault, idx int) bool {
 	defer e.flushObs()
 	return e.detectsOn(&e.g.items[idx], f)
@@ -268,40 +263,25 @@ func (e *Evaluator) Detects(f fault.Fault) bool { return e.DetectingItem(f) >= 0
 
 // DetectingItem returns the index of the first item that detects f, or -1.
 func (e *Evaluator) DetectingItem(f fault.Fault) int {
-	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error DetectingItemContext returns
-	i, _ := e.DetectingItemContext(context.Background(), f)
-	return i
-}
-
-// DetectsContext is Detects with cooperative cancellation: the item scan
-// checks ctx between items, so a long campaign stops promptly when its
-// context is cancelled. The returned error is ctx.Err() on cancellation and
-// nil otherwise.
-func (e *Evaluator) DetectsContext(ctx context.Context, f fault.Fault) (bool, error) {
-	i, err := e.DetectingItemContext(ctx, f)
-	return i >= 0, err
-}
-
-// DetectingItemContext is DetectingItem with cooperative cancellation. On
-// cancellation it returns (-1, ctx.Err()) without finishing the scan.
-func (e *Evaluator) DetectingItemContext(ctx context.Context, f fault.Fault) (int, error) {
 	defer e.flushObs()
 	for i := range e.g.items {
-		if err := ctx.Err(); err != nil {
-			return -1, err
-		}
 		if e.detectsOn(&e.g.items[i], f) {
-			return i, nil
+			return i
 		}
 	}
-	return -1, nil
+	return -1
 }
 
-// Coverage returns how many of the given faults the test set detects. It
-// routes through the packed bit-parallel kernel (see packed.go); the
-// fault-at-a-time Detects scan remains available as the reference path.
+// Coverage returns how many of the given faults the test set detects,
+// evaluated with the packed kernel.
 func (e *Evaluator) Coverage(faults []fault.Fault) int {
-	return e.CoverageBatch(faults)
+	n := 0
+	for _, det := range e.DetectsBatch(faults) {
+		if det {
+			n++
+		}
+	}
+	return n
 }
 
 // Undetected returns the subset of faults no item detects, preserving

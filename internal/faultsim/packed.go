@@ -16,9 +16,12 @@
 //     corrections only for presynaptic neurons whose lane word differs from
 //     the golden train in this timestep.
 //
-// The scalar path (detectsOn/downstream) is retained as the reference
-// implementation; differential and fuzz tests assert the two agree with
-// each other and with brute force on every fault kind.
+// One item scan (evalGroup) serves both production entry points:
+// DetectsBatch resolves a fault at its first detecting item, DetectMatrix
+// keeps scanning and records every detecting item. The scalar path
+// (detectsOn/downstream) is retained as the reference implementation;
+// differential and fuzz tests assert the two agree with each other and with
+// brute force on every fault kind.
 
 package faultsim
 
@@ -161,23 +164,58 @@ func (e *Evaluator) DetectsBatch(faults []fault.Fault) []bool {
 // had not concluded are false and must be discarded by the caller.
 func (e *Evaluator) DetectsBatchContext(ctx context.Context, faults []fault.Fault) ([]bool, error) {
 	out := make([]bool, len(faults))
+	err := e.scan(ctx, faults, func(i, _ int) bool {
+		out[i] = true
+		return true // the first detecting item decides the verdict
+	})
+	return out, err
+}
+
+// DetectMatrix evaluates every fault against every item with the packed
+// kernel and returns one item bitset per fault, in the order of faults:
+// bit it%64 of row[it/64] is set when item it alone detects the fault. Each
+// row has ceil(items/64) words. It computes exactly the verdicts of
+// DetectsOnItem over all (fault, item) pairs, and publishes the same memo
+// traffic, but amortizes the downstream re-simulation across up to 64
+// faults per pass.
+func (e *Evaluator) DetectMatrix(faults []fault.Fault) [][]uint64 {
+	words := (e.NumItems() + 63) / 64
+	flat := make([]uint64, len(faults)*words)
+	rows := make([][]uint64, len(faults))
+	for i := range rows {
+		rows[i] = flat[i*words : (i+1)*words : (i+1)*words]
+	}
+	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error scan returns
+	e.scan(context.Background(), faults, func(i, it int) bool {
+		rows[i][it/64] |= 1 << uint(it%64)
+		return false // keep scanning: every detecting item is recorded
+	})
+	return rows
+}
+
+// scan runs faults through the packed kernel group by group and calls
+// hit(i, it) whenever item it detects faults[i]. When hit returns true the
+// fault is resolved and the items after it are not evaluated for it;
+// otherwise its scan continues to the last item. The obs accounting is
+// flushed once, counting every fault whose scan concluded.
+func (e *Evaluator) scan(ctx context.Context, faults []fault.Fault, hit func(i, it int) bool) error {
 	resolved := 0
 	defer func() { e.flushObsN(resolved) }()
 	if pregrouped(faults) {
 		// Already one packed group (the shape the tester's campaign pool
 		// always sends): skip the grouping map.
-		r, err := e.evalGroup(ctx, faults, identity64[:len(faults)], out)
+		r, err := e.evalGroup(ctx, faults, identity64[:len(faults)], hit)
 		resolved += r
-		return out, err
+		return err
 	}
 	for _, idx := range PackGroups(faults) {
-		r, err := e.evalGroup(ctx, faults, idx, out)
+		r, err := e.evalGroup(ctx, faults, idx, hit)
 		resolved += r
 		if err != nil {
-			return out, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // identity64 is the identity index slice backing pregrouped fast paths.
@@ -203,31 +241,19 @@ func pregrouped(faults []fault.Fault) bool {
 	return true
 }
 
-// CoverageBatch returns how many of the given faults the test set detects,
-// evaluated with the packed kernel.
-func (e *Evaluator) CoverageBatch(faults []fault.Fault) int {
-	n := 0
-	for _, det := range e.DetectsBatch(faults) {
-		if det {
-			n++
-		}
-	}
-	return n
-}
-
 // evalGroup runs one packed group (same kind, same source layer, ≤64 lanes)
-// through the item scan, setting out[idx[lane]] for detected faults. It
-// returns how many of the group's faults reached a verdict — all of them,
-// unless ctx cancelled the scan early.
+// through the item scan, calling hit(idx[lane], item) for every lane an item
+// detects; a lane whose hit returns true leaves the scan. It returns how many
+// of the group's faults reached a verdict — all of them, unless ctx
+// cancelled the scan early.
 //
 // Per lane and item the semantics mirror detectsOn exactly: behaviourally
 // inert faults and faulty trains equal to the golden train never reach the
 // memo; primary-output deviations compare spike counts directly; everything
 // else consults the shared memo and falls to the packed downstream pass.
-func (e *Evaluator) evalGroup(ctx context.Context, faults []fault.Fault, idx []int, out []bool) (resolved int, err error) {
+func (e *Evaluator) evalGroup(ctx context.Context, faults []fault.Fault, idx []int, hit func(i, it int) bool) (resolved int, err error) {
 	ps := e.packed()
-	n := len(idx)
-	pending := fullMask(n)
+	pending := fullMask(len(idx))
 	L := e.g.ts.Arch.Layers()
 	for it := range e.g.items {
 		if pending == 0 {
@@ -237,7 +263,7 @@ func (e *Evaluator) evalGroup(ctx context.Context, faults []fault.Fault, idx []i
 			return resolved, err
 		}
 		ic := &e.g.items[it]
-		var run uint64
+		var run, det uint64
 		runLayer := 0
 		for lanes := pending; lanes != 0; {
 			l := bits.TrailingZeros64(lanes)
@@ -252,18 +278,14 @@ func (e *Evaluator) evalGroup(ctx context.Context, faults []fault.Fault, idx []i
 			}
 			if layer == L-1 && layer != 0 {
 				if bits.OnesCount64(train) != bits.OnesCount64(good) {
-					out[idx[l]] = true
-					pending &^= 1 << uint(l)
-					resolved++
+					det |= 1 << uint(l)
 				}
 				continue
 			}
-			if det, hit := ic.memo.lookup(memoKey{layer: layer, index: index, train: train}); hit {
+			if d, ok := ic.memo.lookup(memoKey{layer: layer, index: index, train: train}); ok {
 				e.pendingMemoHits++
-				if det {
-					out[idx[l]] = true
-					pending &^= 1 << uint(l)
-					resolved++
+				if d {
+					det |= 1 << uint(l)
 				}
 				continue
 			}
@@ -291,17 +313,19 @@ func (e *Evaluator) evalGroup(ctx context.Context, faults []fault.Fault, idx []i
 			run |= 1 << uint(l)
 			runLayer = layer
 		}
-		if run == 0 {
-			continue
+		if run != 0 {
+			d := e.downstreamPacked(ic, runLayer, run)
+			for lanes := run; lanes != 0; {
+				l := bits.TrailingZeros64(lanes)
+				lanes &= lanes - 1
+				ic.memo.store(memoKey{layer: runLayer, index: ps.site[l], train: ps.trains[l]}, d&(1<<uint(l)) != 0)
+			}
+			det |= d
 		}
-		det := e.downstreamPacked(ic, runLayer, run)
-		for lanes := run; lanes != 0; {
+		for lanes := det; lanes != 0; {
 			l := bits.TrailingZeros64(lanes)
 			lanes &= lanes - 1
-			d := det&(1<<uint(l)) != 0
-			ic.memo.store(memoKey{layer: runLayer, index: ps.site[l], train: ps.trains[l]}, d)
-			if d {
-				out[idx[l]] = true
+			if hit(idx[l], it) {
 				pending &^= 1 << uint(l)
 				resolved++
 			}

@@ -50,9 +50,58 @@ func fullUniverse(arch snn.Arch) []fault.Fault {
 	return universe
 }
 
+// bruteForceOnItems re-simulates f on every item of ts with plain snn
+// simulation and reports, per item, whether the faulty response differs
+// from the good one.
+func bruteForceOnItems(ts *pattern.TestSet, values fault.Values, f fault.Fault) []bool {
+	out := make([]bool, len(ts.Items))
+	mods := f.Modifiers(values)
+	for i, it := range ts.Items {
+		sim := snn.NewSimulator(ts.Configs[it.ConfigIndex])
+		golden := sim.Run(it.Pattern, it.Timesteps, it.Mode(), nil)
+		out[i] = !sim.Run(it.Pattern, it.Timesteps, it.Mode(), mods).Equal(golden)
+	}
+	return out
+}
+
+// assertMatrixAgrees checks DetectMatrix bit by bit: every row has
+// ceil(items/64) words with no bit past the last item, and each (fault,
+// item) bit equals the scalar DetectsOnItem verdict and the per-item brute
+// force one.
+func assertMatrixAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) {
+	t.Helper()
+	g := NewGolden(ts, nil)
+	scalar := g.NewEvaluator(values)
+	rows := g.NewEvaluator(values).DetectMatrix(universe)
+	n := len(ts.Items)
+	if len(rows) != len(universe) {
+		t.Fatalf("DetectMatrix returned %d rows for %d faults", len(rows), len(universe))
+	}
+	for fi, f := range universe {
+		row := rows[fi]
+		if len(row) != (n+63)/64 {
+			t.Fatalf("%v: row of %d words for %d items", f, len(row), n)
+		}
+		if n%64 != 0 && row[len(row)-1]>>uint(n%64) != 0 {
+			t.Fatalf("%v: bits set past item %d: %x", f, n-1, row[len(row)-1])
+		}
+		brute := bruteForceOnItems(ts, values, f)
+		for it := 0; it < n; it++ {
+			got := row[it/64]&(1<<uint(it%64)) != 0
+			if want := scalar.DetectsOnItem(f, it); got != want {
+				t.Errorf("%v item %d: matrix=%v scalar=%v", f, it, got, want)
+			}
+			if got != brute[it] {
+				t.Errorf("%v item %d: matrix=%v brute=%v", f, it, got, brute[it])
+			}
+		}
+	}
+}
+
 // assertPackedAgrees runs the whole universe through the packed kernel, the
 // scalar reference evaluator and brute-force simulation and fails on any
-// verdict disagreement.
+// verdict disagreement, for both the per-fault verdicts of DetectsBatch and
+// the per-item bitsets of DetectMatrix.
 func assertPackedAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, universe []fault.Fault) {
 	t.Helper()
 	g := NewGolden(ts, nil)
@@ -69,6 +118,45 @@ func assertPackedAgrees(t *testing.T, ts *pattern.TestSet, values fault.Values, 
 		}
 		if brute := bruteForceMode(ts, values, f); want != brute {
 			t.Errorf("%v: scalar=%v brute=%v", f, want, brute)
+		}
+	}
+	assertMatrixAgrees(t, ts, values, universe)
+}
+
+// TestDetectMatrixMemoAccounting: on a fresh Golden, DetectMatrix publishes
+// exactly the memo hits and misses of the scalar fault-by-item matrix it
+// replaces. Both totals are order-independent — every deviating (fault,
+// item) pair is one lookup, and a miss is the first lookup of a distinct
+// (item, layer, neuron, train) key — so they must agree however the packed
+// kernel groups and orders its lanes.
+func TestDetectMatrixMemoAccounting(t *testing.T) {
+	values := fault.PaperValues(0.5)
+	for ai, arch := range []snn.Arch{{5, 4, 3, 2}, {6, 5, 4, 3, 2}} {
+		ts := randomTestSet(arch, 3, 4, uint64(700+ai))
+		universe := fullUniverse(arch)
+
+		scalar := New(ts, values, nil)
+		before := Snapshot()
+		for _, f := range universe {
+			for it := 0; it < scalar.NumItems(); it++ {
+				scalar.DetectsOnItem(f, it)
+			}
+		}
+		want := statsDelta(Snapshot(), before)
+
+		packed := New(ts, values, nil)
+		before = Snapshot()
+		packed.DetectMatrix(universe)
+		got := statsDelta(Snapshot(), before)
+		if got.MemoHits != want.MemoHits || got.MemoMisses != want.MemoMisses {
+			t.Errorf("%v: DetectMatrix published hits=%d misses=%d, scalar matrix hits=%d misses=%d",
+				arch, got.MemoHits, got.MemoMisses, want.MemoHits, want.MemoMisses)
+		}
+		if want.MemoMisses == 0 || want.MemoHits == 0 {
+			t.Errorf("%v: fixture exercises no memo traffic (hits=%d misses=%d)", arch, want.MemoHits, want.MemoMisses)
+		}
+		if got.FaultsSimulated != int64(len(universe)) {
+			t.Errorf("%v: DetectMatrix counted %d faults simulated, want %d", arch, got.FaultsSimulated, len(universe))
 		}
 	}
 }
@@ -364,8 +452,9 @@ func TestBatchFlushesObs(t *testing.T) {
 	}
 }
 
-// TestCoverageBatchMatchesScalarCount cross-checks the counting APIs on a
-// larger mixed universe.
+// TestCoverageBatchMatchesScalarCount cross-checks the packed counting APIs
+// (Coverage, Undetected) against the scalar count on a larger mixed
+// universe.
 func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 	values := fault.PaperValues(0.5)
 	arch := snn.Arch{5, 4, 3, 2}
@@ -380,8 +469,8 @@ func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 			n++
 		}
 	}
-	if got := g.NewEvaluator(values).CoverageBatch(universe); got != n {
-		t.Errorf("CoverageBatch = %d, scalar count = %d", got, n)
+	if got := g.NewEvaluator(values).Coverage(universe); got != n {
+		t.Errorf("Coverage = %d, scalar count = %d", got, n)
 	}
 	missed := g.NewEvaluator(values).Undetected(universe)
 	if len(missed) != len(universe)-n {
@@ -389,9 +478,9 @@ func TestCoverageBatchMatchesScalarCount(t *testing.T) {
 	}
 }
 
-// FuzzPackedEquivalence fuzzes the packed-vs-scalar-vs-brute agreement over
-// random seeds, window lengths (including the 64-timestep boundary) and
-// input modes.
+// FuzzPackedEquivalence fuzzes the packed-vs-scalar-vs-brute agreement, for
+// verdicts and for DetectMatrix's per-item bits, over random seeds, window
+// lengths (including the 64-timestep boundary) and input modes.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(5), false)
 	f.Add(uint64(2), uint8(64), true)
@@ -407,6 +496,7 @@ func FuzzPackedEquivalence(f *testing.F) {
 		scalar := g.NewEvaluator(values)
 		packed := g.NewEvaluator(values)
 		got := packed.DetectsBatch(universe)
+		rows := packed.DetectMatrix(universe)
 		for i, flt := range universe {
 			want := scalar.Detects(flt)
 			if got[i] != want {
@@ -414,6 +504,11 @@ func FuzzPackedEquivalence(f *testing.F) {
 			}
 			if brute := bruteForceMode(ts, values, flt); want != brute {
 				t.Fatalf("seed=%d T=%d hold=%v %v: scalar=%v brute=%v", seed, T, hold, flt, want, brute)
+			}
+			for it := range ts.Items {
+				if m, s := rows[i][it/64]&(1<<uint(it%64)) != 0, scalar.DetectsOnItem(flt, it); m != s {
+					t.Fatalf("seed=%d T=%d hold=%v %v item %d: matrix=%v scalar=%v", seed, T, hold, flt, it, m, s)
+				}
 			}
 		}
 	})

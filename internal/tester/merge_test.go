@@ -50,13 +50,14 @@ func partitions(n, k int) map[string][][]int {
 	}
 }
 
+// TestMergeCoveragePartitionsExactly: coverage campaigns over disjoint
+// fault shards sum to the whole-universe campaign exactly, integer tallies
+// and Coverage() alike — the property the cluster coordinator relies on when
+// it adds up the tallies its shards return.
 func TestMergeCoveragePartitionsExactly(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
 	ate := New(merged, nil)
-	// A mixed universe with known undetected entries is more interesting
-	// than the all-detected one, so include a couple of duplicate faults of
-	// the weakest kind plus every model's full universe.
 	var faults []fault.Fault
 	for _, kind := range fault.Kinds() {
 		faults = append(faults, fault.Universe(arch, kind)...)
@@ -67,47 +68,35 @@ func TestMergeCoveragePartitionsExactly(t *testing.T) {
 	for k := 1; k <= 5; k++ {
 		for shape, shards := range partitions(len(faults), k) {
 			t.Run(fmt.Sprintf("%s-k%d", shape, k), func(t *testing.T) {
-				parts := make([]CoverageResult, 0, k)
+				var got CoverageResult
 				for _, idx := range shards {
 					sub := make([]fault.Fault, len(idx))
 					for j, i := range idx {
 						sub[j] = faults[i]
 					}
-					parts = append(parts, ate.MeasureCoverage(sub, values))
+					part := ate.MeasureCoverage(sub, values)
+					got.Total += part.Total
+					got.Detected += part.Detected
+					got.Undetected = append(got.Undetected, part.Undetected...)
+					got.Errors = append(got.Errors, part.Errors...)
 				}
-				got := MergeCoverage(parts...)
 				if got.Total != whole.Total || got.Detected != whole.Detected {
-					t.Fatalf("merged tally %d/%d, want %d/%d",
+					t.Fatalf("summed tally %d/%d, want %d/%d",
 						got.Detected, got.Total, whole.Detected, whole.Total)
 				}
 				if got.Coverage() != whole.Coverage() {
-					t.Fatalf("merged Coverage() = %v, want bit-identical %v",
+					t.Fatalf("summed Coverage() = %v, want bit-identical %v",
 						got.Coverage(), whole.Coverage())
 				}
 				if len(got.Undetected) != len(whole.Undetected) {
-					t.Fatalf("merged %d undetected, want %d",
+					t.Fatalf("summed %d undetected, want %d",
 						len(got.Undetected), len(whole.Undetected))
 				}
 				if len(got.Errors) != len(whole.Errors) {
-					t.Fatalf("merged %d errors, want %d", len(got.Errors), len(whole.Errors))
+					t.Fatalf("summed %d errors, want %d", len(got.Errors), len(whole.Errors))
 				}
 			})
 		}
-	}
-}
-
-func TestMergeCoverageEdges(t *testing.T) {
-	if got := MergeCoverage(); got.Total != 0 || got.Detected != 0 || got.Coverage() != 0 {
-		t.Errorf("zero-shard merge = %+v", got)
-	}
-	one := CoverageResult{Total: 7, Detected: 5, Undetected: []fault.Fault{{}, {}}}
-	if got := MergeCoverage(one); got.Total != one.Total || got.Detected != one.Detected ||
-		got.Coverage() != one.Coverage() || len(got.Undetected) != 2 {
-		t.Errorf("single-shard merge = %+v, want %+v", got, one)
-	}
-	empty := CoverageResult{}
-	if got := MergeCoverage(empty, one, empty); got.Coverage() != one.Coverage() {
-		t.Errorf("empty shards disturbed the merge: %+v", got)
 	}
 }
 
@@ -120,13 +109,13 @@ func TestMergeChipTalliesEscapeExactly(t *testing.T) {
 	vary := variation.Model{Sigma: 0.2}
 	const seed = 99
 
-	whole := ate.EscapeTally(faults, values, vary, seed)
+	whole := ate.EscapeTallyAt(faults, values, identityIndices(len(faults)), vary, seed)
 	if whole.Clean != len(faults) {
 		t.Fatalf("whole campaign: %d clean of %d", whole.Clean, len(faults))
 	}
 	pct, errs := ate.EscapeCampaign(faults, values, vary, seed)
 	if len(errs) != 0 || pct != whole.Pct() {
-		t.Fatalf("EscapeTally.Pct() = %v, EscapeCampaign = %v (errs %v)", whole.Pct(), pct, errs)
+		t.Fatalf("EscapeTallyAt.Pct() = %v, EscapeCampaign = %v (errs %v)", whole.Pct(), pct, errs)
 	}
 
 	for k := 1; k <= 5; k++ {
@@ -155,7 +144,7 @@ func TestMergeChipTalliesOverkillExactly(t *testing.T) {
 	vary := variation.Model{Sigma: 0.6}
 	const nChips, seed = 40, 7
 
-	whole := ate.OverkillTally(nChips, vary, seed)
+	whole := ate.OverkillTallyAt(identityIndices(nChips), vary, seed)
 	if whole.Clean != nChips {
 		t.Fatalf("whole campaign: %d clean of %d", whole.Clean, nChips)
 	}

@@ -244,9 +244,10 @@ func TestMeasureSessionsSurvivesWorkerPanic(t *testing.T) {
 }
 
 // TestMeasureCoveragePanicSurfaces is the hardening acceptance criterion:
-// an evaluation that panics inside a parallel worker (here a fault site
-// outside the architecture) must surface as a structured error in
-// CoverageResult, not crash the test binary.
+// a fault site outside the architecture, which would index past the
+// kernel's traces, must surface as a structured error in CoverageResult —
+// rejected at the campaign boundary — not crash the test binary, and must
+// not disturb the verdicts of the faults around it.
 func TestMeasureCoveragePanicSurfaces(t *testing.T) {
 	arch := snn.Arch{6, 5, 4}
 	g, merged := smallSuite(t, arch, core.NoVariation())
@@ -260,9 +261,9 @@ func TestMeasureCoveragePanicSurfaces(t *testing.T) {
 	if len(res.Errors) != 1 {
 		t.Fatalf("errors = %v", res.Errors)
 	}
-	var we *WorkerError
-	if !errors.As(res.Errors[0], &we) || we.Op != "coverage" || we.Fault == nil || *we.Fault != bogus {
-		t.Errorf("worker error context: %v", res.Errors[0])
+	var se *fault.SiteError
+	if !errors.As(res.Errors[0], &se) || se.Fault != bogus {
+		t.Errorf("site error context: %v", res.Errors[0])
 	}
 	if res.Detected != len(faults) || len(res.Undetected) != 0 {
 		t.Errorf("clean faults mis-tallied: %v", res)

@@ -316,9 +316,9 @@ type CoverageResult struct {
 	Total      int
 	Detected   int
 	Undetected []fault.Fault
-	// Errors holds structured worker failures (recovered panics, typically
-	// from malformed faults outside the architecture's universe). Errored
-	// faults count neither as detected nor undetected.
+	// Errors holds one *fault.SiteError per fault outside the
+	// architecture's universe, in fault order, or the golden build failure.
+	// Errored faults count neither as detected nor undetected.
 	Errors []error
 }
 
@@ -328,25 +328,6 @@ func (c CoverageResult) Coverage() float64 {
 		return 0
 	}
 	return 100 * float64(c.Detected) / float64(c.Total)
-}
-
-// MergeCoverage folds K partial coverage results over disjoint fault shards
-// into the whole-campaign result. All tallies are integers, so merging K
-// disjoint shards equals the whole-universe campaign exactly — Coverage()
-// is bit-identical, not approximately equal — which is what lets the
-// cluster coordinator re-assemble sharded campaigns without float drift.
-// Undetected faults and errors concatenate in argument order; callers that
-// need the single-node ordering (the coordinator) pass shards sorted by
-// their faults' global universe indices.
-func MergeCoverage(parts ...CoverageResult) CoverageResult {
-	var out CoverageResult
-	for _, p := range parts {
-		out.Total += p.Total
-		out.Detected += p.Detected
-		out.Undetected = append(out.Undetected, p.Undetected...)
-		out.Errors = append(out.Errors, p.Errors...)
-	}
-	return out
 }
 
 // String renders like the paper's tables, e.g. "100.00%".
@@ -366,10 +347,10 @@ func (c CoverageResult) String() string {
 // faultsim.Golden (good-chip traces are simulated once per test program, no
 // matter how many workers run or how many campaigns reuse the ATE) with a
 // cheap per-worker evaluator; downstream memo hits cross workers through
-// the Golden's sharded memo. A worker panic (e.g. a fault site outside the
-// architecture) is recovered into CoverageResult.Errors instead of crashing
-// the process — discarding only that worker's scratch evaluator, never the
-// goldens — and the result is identical to the serial evaluation regardless
+// the Golden's sharded memo. Every fault site is validated against the
+// architecture first: an invalid fault (say, a neuron outside its layer)
+// lands in CoverageResult.Errors as a *fault.SiteError and never reaches
+// the kernel. The result is identical to the serial evaluation regardless
 // of scheduling.
 func (a *ATE) MeasureCoverage(faults []fault.Fault, values fault.Values) CoverageResult {
 	//lint:ignore unchecked-error context.Background() never cancels, and cancellation is the only error MeasureCoverageContext returns
@@ -382,7 +363,7 @@ func (a *ATE) MeasureCoverage(faults []fault.Fault, values fault.Values) Coverag
 // engines abort their item scans between items. On cancellation it returns
 // ctx.Err() together with the partial result — Total still counts every
 // requested fault, but only faults evaluated before the cancellation appear
-// as Detected, Undetected or Errors.
+// as Detected or Undetected. Invalid faults are always in Errors.
 func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, values fault.Values) (CoverageResult, error) {
 	res := CoverageResult{Total: len(faults)}
 	if len(faults) == 0 {
@@ -401,100 +382,67 @@ func (a *ATE) MeasureCoverageContext(ctx context.Context, faults []fault.Fault, 
 		res.Errors = append(res.Errors, gerr)
 		return res, ctx.Err()
 	}
+	// Validate at the boundary, so the kernel only ever sees fault sites
+	// the architecture has. errAt[i] rejects faults[i], and clean[k] is
+	// faults[pos[k]]; both stay nil (nothing rejected, pos the identity)
+	// when every fault is valid, the campaigns' common case.
+	var errAt []error
+	for i, f := range faults {
+		if err := f.Validate(a.ts.Arch); err != nil {
+			if errAt == nil {
+				errAt = make([]error, len(faults))
+			}
+			errAt[i] = err
+		}
+	}
+	clean, pos := faults, []int(nil)
+	if errAt != nil {
+		clean = nil
+		for i, f := range faults {
+			if errAt[i] == nil {
+				clean, pos = append(clean, f), append(pos, i)
+			}
+		}
+	}
 	// The pool claims faults in packed groups (same kind, same deviated
 	// layer, ≤64 per group): each group runs one bit-parallel downstream
-	// pass through the packed kernel instead of one scalar pass per fault.
-	// A group that panics falls back to fault-at-a-time scalar evaluation,
-	// so only the offending fault lands in Errors and the rest of its group
-	// still gets verdicts — the per-fault semantics of the scalar pool.
-	groups := faultsim.PackGroups(faults)
+	// pass through the packed kernel.
+	groups := faultsim.PackGroups(clean)
 	evals := make([]*faultsim.Evaluator, poolWorkers(len(groups)))
-	type groupVerdict struct {
-		detected  []bool  // aligned with groups[gi]
-		evaluated []bool  // verdict valid (not lost to cancellation)
-		errs      []error // recovered per-fault worker errors
-	}
-	verdicts, done := runWorkersCtx(ctx, len(groups), func(gi, w int) (v groupVerdict) {
+	verdicts, done := runWorkersCtx(ctx, len(groups), func(gi, w int) []bool {
 		idx := groups[gi]
 		sub := make([]fault.Fault, len(idx))
 		for k, i := range idx {
-			sub[k] = faults[i]
+			sub[k] = clean[i]
 		}
-		batch := func() (out []bool, err error, ok bool) {
-			defer func() {
-				if p := recover(); p != nil {
-					// Only the worker's scratch can be mid-mutation: discard
-					// the evaluator and isolate the culprit fault-at-a-time.
-					evals[w] = nil
-					ok = false
-				}
-			}()
-			if evals[w] == nil {
-				evals[w] = golden.NewEvaluator(values)
-			}
-			out, err = evals[w].DetectsBatchContext(ctx, sub)
-			return out, err, true
+		if evals[w] == nil {
+			evals[w] = golden.NewEvaluator(values)
 		}
-		if out, err, ok := batch(); ok {
-			if err != nil {
-				// Cancelled mid-group: none of this group's verdicts count.
-				return v
-			}
-			v.detected = out
-			v.evaluated = make([]bool, len(idx))
-			for k := range v.evaluated {
-				v.evaluated[k] = true
-			}
-			return v
+		out, err := evals[w].DetectsBatchContext(ctx, sub)
+		if err != nil {
+			return nil // cancelled mid-group: none of this group's verdicts count
 		}
-		v.detected = make([]bool, len(idx))
-		v.evaluated = make([]bool, len(idx))
-		v.errs = make([]error, len(idx))
-		for k := range sub {
-			func() {
-				defer func() {
-					if p := recover(); p != nil {
-						f := sub[k]
-						v.errs[k] = &WorkerError{Op: "coverage", Worker: w, Chip: -1, Fault: &f, Panic: p}
-						evals[w] = nil
-					}
-				}()
-				if evals[w] == nil {
-					evals[w] = golden.NewEvaluator(values)
-				}
-				det, err := evals[w].DetectsContext(ctx, sub[k])
-				if err != nil {
-					return // cancelled: leave evaluated[k] false
-				}
-				v.detected[k] = det
-				v.evaluated[k] = true
-			}()
-		}
-		return v
+		return out
 	})
 	// Scatter the group verdicts back to global fault order, so Detected,
-	// Undetected and Errors aggregate exactly like the scalar pool did.
+	// Undetected and Errors aggregate exactly like a serial scan.
 	detected := make([]bool, len(faults))
 	evaluated := make([]bool, len(faults))
-	errAt := make([]error, len(faults))
-	for gi, v := range verdicts {
-		if !done[gi] {
-			continue // group never claimed before cancellation
+	for gi, out := range verdicts {
+		if !done[gi] || out == nil {
+			continue // never claimed, or aborted, because of cancellation
 		}
 		for k, i := range groups[gi] {
-			if v.errs != nil && v.errs[k] != nil {
-				errAt[i] = v.errs[k]
-				continue
+			if pos != nil {
+				i = pos[i]
 			}
-			if v.evaluated != nil && v.evaluated[k] {
-				evaluated[i] = true
-				detected[i] = v.detected[k]
-			}
+			evaluated[i] = true
+			detected[i] = out[k]
 		}
 	}
 	for i := range faults {
 		switch {
-		case errAt[i] != nil:
+		case errAt != nil && errAt[i] != nil:
 			res.Errors = append(res.Errors, errAt[i])
 		case !evaluated[i]:
 			// Never evaluated (or aborted mid-scan) because of cancellation.
@@ -593,12 +541,6 @@ func MergeChipTallies(parts ...ChipTally) ChipTally {
 	return out
 }
 
-// EscapeTally is EscapeCampaign returning the raw integer tally instead of
-// the percentage, for callers that merge shards (the cluster coordinator).
-func (a *ATE) EscapeTally(faults []fault.Fault, values fault.Values, vary variation.Model, seed uint64) ChipTally {
-	return a.EscapeTallyAt(faults, values, identityIndices(len(faults)), vary, seed)
-}
-
 // EscapeTallyAt evaluates only the faulty chips whose global indices are
 // listed in idx (each an index into faults). Chip i's RNG seed derives from
 // its global index, never from its position in idx or the worker that runs
@@ -608,11 +550,6 @@ func (a *ATE) EscapeTallyAt(faults []fault.Fault, values fault.Values, idx []int
 	return a.tallyChipsAt("escape", idx, func(i int, sc *chipScratch, rng *stats.RNG) bool {
 		return a.runChip(sc, faults[i].Modifiers(values), vary, rng).Passed
 	}, seed)
-}
-
-// OverkillTally is OverkillCampaign returning the raw integer tally.
-func (a *ATE) OverkillTally(nChips int, vary variation.Model, seed uint64) ChipTally {
-	return a.OverkillTallyAt(identityIndices(nChips), vary, seed)
 }
 
 // OverkillTallyAt evaluates only the good chips whose global population

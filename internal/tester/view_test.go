@@ -71,8 +71,9 @@ func TestRunChipMatchesMaterialised(t *testing.T) {
 				fails++
 			}
 		}
-		esc := ate.EscapeTally(faults, values, vary, seed)
-		ovk := ate.OverkillTally(len(faults), vary, seed)
+		all := identityIndices(len(faults))
+		esc := ate.EscapeTallyAt(faults, values, all, vary, seed)
+		ovk := ate.OverkillTallyAt(all, vary, seed)
 		if esc.Hit != hits || ovk.Hit != fails || esc.Clean != len(faults) || ovk.Clean != len(faults) {
 			t.Fatalf("σ=%gθ: tallies escape %d/%d overkill %d/%d, reference %d and %d of %d",
 				frac, esc.Hit, esc.Clean, ovk.Hit, ovk.Clean, hits, fails, len(faults))
